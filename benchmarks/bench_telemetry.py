@@ -39,6 +39,7 @@ from repro.core import EADRL, EADRLConfig
 from repro.core.eadrl import _make_reward
 from repro.obs import JsonlSink, MemorySink, configure, shutdown
 from repro.rl.mdp import Transition
+from repro.runtime import combine_masked
 from repro.runtime.executor import available_workers
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -89,17 +90,18 @@ def reference_online_loop(
     reward_fn = _make_reward(model.config)
     scaled_predictions = model._scaler.transform(predictions)
     scaled_truth = model._scaler.transform(truth)
-    scaled_boot = model._scaler.transform(model._matrix_bootstrap[-omega:])
     n_members = predictions.shape[1]
     healthy = np.isfinite(predictions)
-    state = scaled_boot @ np.full(n_members, 1.0 / n_members)
+    state = model._scaler.transform(
+        model._matrix_bootstrap[-omega:] @ np.full(n_members, 1.0 / n_members)
+    )
     detector = PageHinkley(delta=0.05, threshold=3.0)
     outputs = np.empty(predictions.shape[0])
     weight_log = np.empty_like(predictions)
     steps_since_update = 0
     for i in range(predictions.shape[0]):
         weights = model.agent.policy_weights(state)
-        scaled_out, weights = model._combine_masked(
+        scaled_out, weights = combine_masked(
             scaled_predictions[i], weights, healthy[i], i
         )
         weight_log[i] = weights

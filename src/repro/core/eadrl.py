@@ -19,6 +19,11 @@ Online phase:
 - :meth:`forecast` — the paper's Algorithm 1: multi-step forecasting of
   ``N_f`` future values, feeding ensemble predictions back into the
   window and the pool inputs.
+
+Every online loop (these two, :meth:`rolling_forecast_from_matrix` and
+:meth:`rolling_forecast_online`) builds one
+:class:`~repro.serving.session.SeriesSession` and hands it to a single
+private driver, which owns the per-step telemetry and loop snapshots.
 """
 
 from __future__ import annotations
@@ -26,10 +31,11 @@ from __future__ import annotations
 import time
 import zipfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pruning import Pruner
+    from repro.serving.session import SeriesSession
 
 import numpy as np
 
@@ -50,30 +56,21 @@ from repro.preprocessing.embedding import validate_series
 from repro.preprocessing.scaling import StandardScaler
 from repro.rl.agents import AgentProtocol, make_agent
 from repro.rl.ddpg import TrainingHistory, _action_entropy
-from repro.rl.mdp import EnsembleMDP, project_to_simplex
+from repro.rl.mdp import EnsembleMDP
 from repro.rl.rewards import DiversityRankReward, NRMSEReward, RankReward, RewardFunction
 from repro.runtime import (
     CheckpointManager,
     LoopCheckpointer,
     PoolHealth,
     TrainingCheckpointer,
-    combine_masked,
 )
 
 _LOG = get_logger("eadrl")
 
-
-def _prefixed(prefix: str, arrays: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    return {f"{prefix}.{name}": value for name, value in arrays.items()}
-
-
-def _strip_prefix(prefix: str, arrays: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    head = prefix + "."
-    return {
-        name[len(head):]: value
-        for name, value in arrays.items()
-        if name.startswith(head)
-    }
+#: ``layout`` key of every forecast-loop snapshot context: a session
+#: state (:meth:`SeriesSession.window_state` or ``checkpoint_state``)
+#: plus ``outputs`` and ``weights``.
+_LOOP_LAYOUT = "session"
 
 
 def _make_reward(config: EADRLConfig) -> RewardFunction:
@@ -82,6 +79,67 @@ def _make_reward(config: EADRLConfig) -> RewardFunction:
     if config.reward == "nrmse":
         return NRMSEReward()
     return DiversityRankReward(config.diversity_weight)
+
+
+class _StepTelemetry:
+    """One forecast loop's metric handles, looked up once per loop.
+
+    :meth:`record` emits the per-step ``online_step`` event: the chosen
+    weight vector (the paper's Fig. 3 trajectory, one row per step) plus
+    the step latency; when the session computed the Eq. 3 reward the
+    event also carries it and the implied ensemble rank ``m + 1 − r``.
+    Only loops that feed truths back bind the reward, drift and update
+    metrics.
+    """
+
+    def __init__(self, phase: str, feeds_back: bool):
+        registry = OBS.registry
+        labels = {"phase": phase}
+        self.phase = phase
+        self.steps = registry.counter("repro_online_steps_total", labels)
+        self.seconds = registry.histogram("repro_online_step_seconds", labels)
+        self.entropy = registry.histogram(
+            "repro_online_weight_entropy", labels
+        )
+        if feeds_back:
+            self.rank = registry.gauge("repro_online_ensemble_rank")
+            self.drifts = registry.counter("repro_online_drift_events_total")
+            self.updates = registry.counter(
+                "repro_online_policy_updates_total"
+            )
+
+    def record(
+        self, session: "SeriesSession", step: int, prediction: float,
+        seconds: float,
+    ) -> None:
+        weights = session.last_weights
+        entropy = _action_entropy(weights)
+        self.steps.inc()
+        self.seconds.observe(seconds)
+        self.entropy.observe(entropy)
+        fields = {
+            "phase": self.phase,
+            "step": step,
+            "prediction": prediction,
+            "weights": [float(w) for w in weights],
+            "weight_entropy": entropy,
+            "seconds": seconds,
+        }
+        if session.last_reward is not None:
+            fields["reward"] = session.last_reward
+        if session.last_rank is not None:
+            fields["ensemble_rank"] = session.last_rank
+            self.rank.set(session.last_rank)
+        OBS.emit("online_step", **fields)
+        if session.last_drifted:
+            self.drifts.inc()
+        if session.last_update_trigger is not None:
+            self.updates.inc(session.updates_per_trigger)
+            OBS.emit(
+                "policy_update", step=step,
+                trigger=session.last_update_trigger,
+                updates=session.updates_per_trigger,
+            )
 
 
 class EADRL:
@@ -209,6 +267,9 @@ class EADRL:
             return None
         cfg = self.config.checkpoint
         context: Dict[str, Any] = {
+            # Snapshots written before the loops shared one layout lack
+            # this key and are skipped as a context mismatch on resume.
+            "layout": _LOOP_LAYOUT,
             "n_members": int(n_members),
             "n_steps": int(n_steps),
             "window": int(self.config.window),
@@ -218,52 +279,61 @@ class EADRL:
             manager, kind, every=cfg.every, resume=cfg.resume, context=context
         )
 
-    def _record_step(
+    def _drive(
         self,
         phase: str,
-        step: int,
-        prediction: float,
-        weights: np.ndarray,
-        seconds: float,
-        reward: Optional[float] = None,
-        ensemble_rank: Optional[int] = None,
-    ) -> None:
-        """One per-step telemetry record (callers gate on ``OBS.enabled``).
+        session: "SeriesSession",
+        n_steps: int,
+        advance: Callable[[int], float],
+        return_weights: bool = False,
+        feeds_back: bool = False,
+        **context: Any,
+    ):
+        """The one per-step loop behind every forecast method.
 
-        The emitted ``online_step`` event carries the chosen weight
-        vector (the paper's Fig. 3 trajectory, one row per step) plus
-        the step latency; when the Eq. 3 reward was computed the event
-        also carries it and the implied ensemble rank ``m + 1 − r``.
+        ``advance(i)`` runs step ``i`` on ``session`` and returns its
+        forecast. Around it the driver times each step in an
+        ``online.step`` span, emits the ``online_step`` telemetry, logs
+        the weights, and saves/restores loop snapshots under the
+        checkpoint kind ``phase`` (``context`` joins the snapshot
+        context). A snapshot is the session's own state plus the
+        outputs and weights so far. Loops that never feed truths back
+        (``feeds_back=False``) leave the agent read-only, so their
+        snapshots hold only :meth:`SeriesSession.window_state`.
         """
-        registry = OBS.registry
-        labels = {"phase": phase}
-        registry.counter("repro_online_steps_total", labels).inc()
-        registry.histogram("repro_online_step_seconds", labels).observe(seconds)
-        entropy = _action_entropy(weights)
-        registry.histogram("repro_online_weight_entropy", labels).observe(entropy)
-        fields = {
-            "phase": phase,
-            "step": step,
-            "prediction": prediction,
-            "weights": [float(w) for w in weights],
-            "weight_entropy": entropy,
-            "seconds": seconds,
-        }
-        if reward is not None:
-            fields["reward"] = reward
-        if ensemble_rank is not None:
-            fields["ensemble_rank"] = ensemble_rank
-            registry.gauge("repro_online_ensemble_rank").set(ensemble_rank)
-        OBS.emit("online_step", **fields)
-
-    def _combine_masked(self, scaled_row, weights, mask, step):
-        """Combine one prediction row, degrading over unhealthy members.
-
-        Delegates to :func:`repro.runtime.combine_masked` — the single
-        masked-combine code path shared with the serving step API
-        (:class:`repro.serving.SeriesSession`).
-        """
-        return combine_masked(scaled_row, weights, mask, step)
+        checkpointer = self._loop_checkpointer(
+            phase, session.n_members, n_steps, **context
+        )
+        outputs = np.empty(n_steps)
+        weight_log = np.empty((n_steps, session.n_members))
+        first = 0
+        snapshot = checkpointer.restore() if checkpointer is not None else None
+        if snapshot is not None:
+            first = int(snapshot.meta["next_step"])
+            outputs[:first] = snapshot.arrays["outputs"]
+            weight_log[:first] = snapshot.arrays["weights"]
+            session.restore_checkpoint_state(snapshot.arrays, snapshot.meta)
+        telemetry = None
+        for i in range(first, n_steps):
+            with OBS.span("online.step") as step_span:
+                outputs[i] = advance(i)
+                weight_log[i] = session.last_weights
+            node = step_span.node
+            if node is not None:
+                if telemetry is None:
+                    telemetry = _StepTelemetry(phase, feeds_back)
+                telemetry.record(session, i, float(outputs[i]), node.duration)
+            if checkpointer is not None and checkpointer.due(i):
+                arrays, meta = (
+                    session.checkpoint_state() if feeds_back
+                    else session.window_state()
+                )
+                arrays["outputs"] = outputs[: i + 1]
+                arrays["weights"] = weight_log[: i + 1]
+                checkpointer.after_step(i, arrays, meta)
+        if return_weights:
+            return outputs, weight_log
+        return outputs
 
     # ------------------------------------------------------------------
     def fit(self, train_series: np.ndarray) -> "EADRL":
@@ -406,73 +476,24 @@ class EADRL:
         renormalised on the simplex. A row with no healthy member raises
         :class:`EnsembleUnavailableError`.
         """
-        if self.agent is None or (
-            not getattr(self, "_fitted_from_matrix", False)
-            and bootstrap_predictions is None
-        ):
-            raise NotFittedError(type(self).__name__)
         predictions = np.asarray(predictions, dtype=np.float64)
-        boot = (
-            np.asarray(bootstrap_predictions, dtype=np.float64)
-            if bootstrap_predictions is not None
-            else self._matrix_bootstrap
+        session = self.online_session(
+            mode="none", bootstrap_predictions=bootstrap_predictions
         )
-        if boot.shape[0] < self.config.window:
-            raise DataValidationError(
-                f"bootstrap matrix needs >= ω={self.config.window} rows"
-            )
-        healthy = np.isfinite(predictions)
-        uniform = np.full(predictions.shape[1], 1.0 / predictions.shape[1])
-        state = self._scaler.transform(boot[-self.config.window :] @ uniform)
-        scaled_predictions = self._scaler.transform(predictions)
-        outputs = np.empty(predictions.shape[0])
-        weight_log = np.empty_like(predictions)
-        checkpointer = self._loop_checkpointer(
-            "matrix", predictions.shape[1], predictions.shape[0]
-        )
-        start = 0
-        snapshot = checkpointer.restore() if checkpointer is not None else None
-        if snapshot is not None:
-            start = int(snapshot.meta["next_step"])
-            state = snapshot.arrays["loop.state"].copy()
-            outputs[:start] = snapshot.arrays["loop.outputs"]
-            weight_log[:start] = snapshot.arrays["loop.weights"]
         with OBS.span("eadrl.rolling_forecast_from_matrix"):
-            for i in range(start, predictions.shape[0]):
-                with OBS.span("online.step") as step_span:
-                    weights = self.agent.policy_weights(state)
-                    scaled_out, weight_log[i] = self._combine_masked(
-                        scaled_predictions[i], weights, healthy[i], i
-                    )
-                    outputs[i] = self._scaler.inverse_transform(scaled_out)
-                    state = np.append(state[1:], scaled_out)
-                node = step_span.node
-                if node is not None:
-                    self._record_step(
-                        "matrix", i, float(outputs[i]), weight_log[i],
-                        node.duration,
-                    )
-                if checkpointer is not None:
-                    checkpointer.after_step(
-                        i,
-                        {
-                            "loop.state": state,
-                            "loop.outputs": outputs[: i + 1],
-                            "loop.weights": weight_log[: i + 1],
-                        },
-                        {},
-                    )
-        if return_weights:
-            return outputs, weight_log
-        return outputs
+            return self._drive(
+                "matrix", session, predictions.shape[0],
+                lambda i: session.forecast_step(predictions[i]),
+                return_weights,
+            )
 
     # ------------------------------------------------------------------
-    def _bootstrap_state(self, series: np.ndarray, start: int) -> np.ndarray:
-        """Initial ω-window of (standardised) uniform-ensemble outputs.
+    def _bootstrap_matrix(self, series: np.ndarray, start: int) -> np.ndarray:
+        """The pool's predictions for the ω positions before ``start``.
 
         Mirrors ``EnsembleMDP.reset``: before the policy has produced any
-        outputs, the window is filled with uniform-weight combinations of
-        the pool's predictions for the ω positions preceding ``start``.
+        outputs, the session's window is filled with uniform-weight
+        combinations of these rows.
         """
         omega = self.config.window
         boot_start = start - omega
@@ -481,9 +502,7 @@ class EADRL:
                 f"start={start} leaves no room for the ω={omega} bootstrap "
                 f"window before the forecast origin"
             )
-        preds = self.pool.prediction_matrix(series[:start], boot_start)
-        uniform = np.full(self.n_models, 1.0 / self.n_models)
-        return self._scaler.transform(preds @ uniform)
+        return self.pool.prediction_matrix(series[:start], boot_start)
 
     def rolling_forecast(
         self, series: np.ndarray, start: int, return_weights: bool = False
@@ -498,7 +517,8 @@ class EADRL:
         Under a guarded pool (``config.runtime_guards``) failing members
         are fallback-filled and quarantined by their circuit breakers;
         at each step the policy's weights are renormalised over the
-        healthy members, and only an all-quarantined step raises
+        healthy members (and over the finite predictions of an
+        unguarded pool), and only an all-unhealthy step raises
         :class:`EnsembleUnavailableError`.
         """
         self._check_fitted()
@@ -507,51 +527,15 @@ class EADRL:
             predictions, healthy = self.pool.prediction_matrix_with_mask(
                 array, start
             )
-            scaled_predictions = self._scaler.transform(predictions)
-
-            state = self._bootstrap_state(array, start)
-            outputs = np.empty(predictions.shape[0])
-            weight_log = np.empty_like(predictions)
-            checkpointer = self._loop_checkpointer(
-                "rolling", predictions.shape[1], predictions.shape[0],
-                origin=int(start),
+            session = self.online_session(
+                mode="none",
+                bootstrap_predictions=self._bootstrap_matrix(array, start),
             )
-            first = 0
-            snapshot = (
-                checkpointer.restore() if checkpointer is not None else None
+            return self._drive(
+                "rolling", session, predictions.shape[0],
+                lambda i: session.forecast_step(predictions[i], healthy[i]),
+                return_weights, origin=int(start),
             )
-            if snapshot is not None:
-                first = int(snapshot.meta["next_step"])
-                state = snapshot.arrays["loop.state"].copy()
-                outputs[:first] = snapshot.arrays["loop.outputs"]
-                weight_log[:first] = snapshot.arrays["loop.weights"]
-            for i in range(first, predictions.shape[0]):
-                with OBS.span("online.step") as step_span:
-                    weights = self.agent.policy_weights(state)
-                    scaled_out, weight_log[i] = self._combine_masked(
-                        scaled_predictions[i], weights, healthy[i], i
-                    )
-                    outputs[i] = self._scaler.inverse_transform(scaled_out)
-                    state = np.append(state[1:], scaled_out)
-                node = step_span.node
-                if node is not None:
-                    self._record_step(
-                        "rolling", i, float(outputs[i]), weight_log[i],
-                        node.duration,
-                    )
-                if checkpointer is not None:
-                    checkpointer.after_step(
-                        i,
-                        {
-                            "loop.state": state,
-                            "loop.outputs": outputs[: i + 1],
-                            "loop.weights": weight_log[: i + 1],
-                        },
-                        {},
-                    )
-        if return_weights:
-            return outputs, weight_log
-        return outputs
 
     def forecast(self, history: np.ndarray, horizon: int) -> np.ndarray:
         """Paper Algorithm 1: forecast the next ``horizon`` values.
@@ -562,54 +546,19 @@ class EADRL:
         self._check_fitted()
         if horizon < 1:
             raise ConfigurationError(f"horizon must be >= 1, got {horizon}")
-        array = validate_series(
-            history, min_length=self.pool.max_min_context() + self.config.window
-        )
-        state = self._bootstrap_state(array, array.size)
-        working = array.copy()
-        out = np.empty(horizon)
-        checkpointer = self._loop_checkpointer(
-            "multistep", self.n_models, horizon, history_length=int(array.size)
-        )
-        first = 0
-        snapshot = checkpointer.restore() if checkpointer is not None else None
-        if snapshot is not None:
-            first = int(snapshot.meta["next_step"])
-            state = snapshot.arrays["loop.state"].copy()
-            working = snapshot.arrays["loop.working"].copy()
-            out[:first] = snapshot.arrays["loop.outputs"]
+        session = self.online_session(mode="none", history=history)
+
+        def advance(_step: int) -> float:
+            values, healthy = self.pool.predict_next_with_mask(session.history)
+            value = session.forecast_step(values, healthy)
+            session.extend_history(value)
+            return value
+
         with OBS.span("eadrl.forecast"):
-            for j in range(first, horizon):
-                with OBS.span("online.step") as step_span:
-                    weights = self.agent.policy_weights(state)
-                    member_preds, healthy = self.pool.predict_next_with_mask(
-                        working
-                    )
-                    effective = project_to_simplex(weights)
-                    scaled = self._scaler.transform(member_preds)
-                    scaled_out, _ = self._combine_masked(
-                        scaled, effective, healthy, j
-                    )
-                    value = float(self._scaler.inverse_transform(scaled_out))
-                    out[j] = value
-                    working = np.append(working, value)
-                    state = np.append(state[1:], scaled_out)
-                node = step_span.node
-                if node is not None:
-                    self._record_step(
-                        "multistep", j, value, effective, node.duration
-                    )
-                if checkpointer is not None:
-                    checkpointer.after_step(
-                        j,
-                        {
-                            "loop.state": state,
-                            "loop.working": working,
-                            "loop.outputs": out[: j + 1],
-                        },
-                        {},
-                    )
-        return out
+            return self._drive(
+                "multistep", session, horizon, advance,
+                history_length=int(session.history.size),
+            )
 
     # ------------------------------------------------------------------
     def rolling_forecast_online(
@@ -642,23 +591,11 @@ class EADRL:
 
         The per-step mechanics live in
         :class:`repro.serving.session.SeriesSession`; this method drives
-        one session over the matrix, adding the batch conveniences
-        (telemetry, crash-safe loop checkpoints, weight logging). Batch
-        and step-API outputs are bit-identical by construction — the
-        loop below *is* the step API.
+        one session over the matrix, closing each step with
+        ``session.feedback``. Its snapshots carry the full session state,
+        agent included, since the agent keeps learning here. Batch and
+        step-API outputs are bit-identical by construction.
         """
-        if mode not in ("periodic", "drift", "none"):
-            raise ConfigurationError(
-                f"mode must be 'periodic', 'drift' or 'none', got {mode!r}"
-            )
-        if interval < 1 or updates_per_trigger < 1:
-            raise ConfigurationError(
-                "interval and updates_per_trigger must be >= 1"
-            )
-        if self.agent is None or (
-            not self._fitted_from_matrix and bootstrap_predictions is None
-        ):
-            raise NotFittedError(type(self).__name__)
         predictions = np.asarray(predictions, dtype=np.float64)
         truth = np.asarray(truth, dtype=np.float64)
         if predictions.shape[0] != truth.size:
@@ -666,104 +603,25 @@ class EADRL:
                 f"matrix {predictions.shape} does not align with truth "
                 f"{truth.shape}"
             )
-        omega = self.config.window
-        boot = (
-            np.asarray(bootstrap_predictions, dtype=np.float64)
-            if bootstrap_predictions is not None
-            else self._matrix_bootstrap
-        )
-        if boot.shape[0] < omega:
-            raise DataValidationError(f"bootstrap matrix needs >= ω={omega} rows")
-
-        from repro.serving.session import SeriesSession
-
-        n_members = predictions.shape[1]
-        session = SeriesSession(
-            self.agent,
-            self._scaler,
-            window=omega,
-            n_members=n_members,
-            reward_fn=_make_reward(self.config),
-            bootstrap_matrix=boot,
+        session = self.online_session(
             mode=mode,
             interval=int(interval),
             updates_per_trigger=int(updates_per_trigger),
+            bootstrap_predictions=bootstrap_predictions,
         )
-        outputs = np.empty(predictions.shape[0])
-        weight_log = np.empty_like(predictions)
-        checkpointer = self._loop_checkpointer(
-            "online", n_members, predictions.shape[0],
-            mode=mode, interval=int(interval),
-            updates_per_trigger=int(updates_per_trigger),
-        )
-        first = 0
-        snapshot = checkpointer.restore() if checkpointer is not None else None
-        if snapshot is not None:
-            # The agent keeps learning in this loop, so its full state
-            # (networks, Adam moments, replay ring, RNG/noise) is part
-            # of the snapshot alongside the loop window. The session's
-            # reward ring is re-derived from the raw matrix tail.
-            first = int(snapshot.meta["next_step"])
-            outputs[:first] = snapshot.arrays["loop.outputs"]
-            weight_log[:first] = snapshot.arrays["loop.weights"]
-            self.agent.restore_checkpoint_state(
-                _strip_prefix("agent", snapshot.arrays),
-                snapshot.meta["agent"],
-            )
-            ring_lo = max(0, first - omega)
-            session.restore_loop_state(
-                state=snapshot.arrays["loop.state"],
-                next_step=first,
-                steps_since_update=int(snapshot.meta["steps_since_update"]),
-                detector_state=snapshot.meta["detector"],
-                recent_rows=predictions[ring_lo:first],
-                recent_truths=truth[ring_lo:first],
-            )
+
+        def advance(i: int) -> float:
+            output = session.forecast_step(predictions[i])
+            session.feedback(truth[i])
+            return output
+
         with OBS.span("eadrl.rolling_forecast_online"):
-            for i in range(first, predictions.shape[0]):
-                with OBS.span("online.step") as step_span:
-                    outputs[i] = session.forecast_step(predictions[i])
-                    weight_log[i] = session.last_weights
-                    session.feedback(truth[i])
-                node = step_span.node
-                if node is not None:
-                    self._record_step(
-                        "online", i, float(outputs[i]), weight_log[i],
-                        node.duration, reward=session.last_reward,
-                        ensemble_rank=session.last_rank,
-                    )
-                    registry = OBS.registry
-                    if session.last_drifted:
-                        registry.counter(
-                            "repro_online_drift_events_total"
-                        ).inc()
-                    if session.last_update_trigger is not None:
-                        registry.counter(
-                            "repro_online_policy_updates_total"
-                        ).inc(updates_per_trigger)
-                        OBS.emit(
-                            "policy_update", step=i,
-                            trigger=session.last_update_trigger,
-                            updates=updates_per_trigger,
-                        )
-                if checkpointer is not None and checkpointer.due(i):
-                    agent_arrays, agent_meta = self.agent.checkpoint_state()
-                    arrays = _prefixed("agent", agent_arrays)
-                    arrays["loop.state"] = session.state
-                    arrays["loop.outputs"] = outputs[: i + 1]
-                    arrays["loop.weights"] = weight_log[: i + 1]
-                    checkpointer.after_step(
-                        i,
-                        arrays,
-                        {
-                            "agent": agent_meta,
-                            "steps_since_update": session.steps_since_update,
-                            "detector": session.detector.checkpoint_state(),
-                        },
-                    )
-        if return_weights:
-            return outputs, weight_log
-        return outputs
+            return self._drive(
+                "online", session, predictions.shape[0], advance,
+                return_weights, feeds_back=True, mode=mode,
+                interval=int(interval),
+                updates_per_trigger=int(updates_per_trigger),
+            )
 
     def online_session(
         self,
@@ -778,7 +636,8 @@ class EADRL:
     ):
         """A live :class:`~repro.serving.session.SeriesSession` on this policy.
 
-        The step-API twin of :meth:`rolling_forecast_online`:
+        Every forecast loop of this class drives a session built here;
+        it is the step-API twin of :meth:`rolling_forecast_online`:
         ``session.observe(y_t)`` closes the previous forecast with its
         realised value (feeding the MDP transition, drift detector, and
         policy-update triggers) and returns the forecast for the next

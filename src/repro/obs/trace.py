@@ -427,6 +427,8 @@ def disable_tracing() -> None:
 #: Span-name → critical-path category used by the breakdown.
 SPAN_CATEGORIES = {
     "http.request": "http",
+    "http.decode": "http",
+    "http.respond": "http",
     "service.observe": "service",
     "service.predict": "service",
     "service.create": "service",

@@ -48,6 +48,10 @@ a root ``http.request`` span. A client may supply its own trace id via
 the ``X-Trace-Id`` header (hex, 8–32 chars; malformed ids are ignored
 and a fresh trace minted); the effective id is echoed back in the
 response's ``X-Trace-Id`` header either way, ready for ``repro trace``.
+Under the root, ``http.decode`` times the request body read and JSON
+decode and ``http.respond`` the response encode plus socket write, so
+the HTTP layer's own time is attributed rather than left as root self
+time.
 Behind a :class:`~repro.serving.supervisor.ShardSupervisor`,
 ``/metrics`` merges per-shard worker registries into one exposition and
 ``/healthz`` carries per-shard worker state.
@@ -138,17 +142,18 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_json(
         self, status: int, payload: Any, headers: Optional[dict] = None
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        ctx = getattr(self, "_trace_ctx", None)
-        if ctx is not None:
-            self.send_header(TRACE_ID_HEADER, ctx.trace_id)
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        with TRACER.child_span("http.respond"):
+            body = json.dumps(payload).encode("utf-8")
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            ctx = getattr(self, "_trace_ctx", None)
+            if ctx is not None:
+                self.send_header(TRACE_ID_HEADER, ctx.trace_id)
+            for name, value in (headers or {}).items():
+                self.send_header(name, value)
+            self.end_headers()
+            self.wfile.write(body)
 
     def _send_error_json(self, error: BaseException) -> None:
         status = _status_for(error)
@@ -217,13 +222,16 @@ class _Handler(BaseHTTPRequestHandler):
             raise DataValidationError(
                 f"request body too large ({length} bytes)"
             )
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            raise DataValidationError("request body must be JSON")
-        try:
-            return json.loads(raw)
-        except json.JSONDecodeError as err:
-            raise DataValidationError(f"malformed JSON body: {err}") from None
+        with TRACER.child_span("http.decode"):
+            raw = self.rfile.read(length) if length else b""
+            if not raw:
+                raise DataValidationError("request body must be JSON")
+            try:
+                return json.loads(raw)
+            except json.JSONDecodeError as err:
+                raise DataValidationError(
+                    f"malformed JSON body: {err}"
+                ) from None
 
     def _session_route(self) -> Tuple[Optional[str], Optional[str]]:
         """``/v1/sessions/<id>[/<action>]`` → (id, action)."""

@@ -1,18 +1,21 @@
 """Per-series resumable online forecasting state (paper Alg. 1 as a step API).
 
-:class:`SeriesSession` is the online loop of
-:meth:`repro.core.EADRL.rolling_forecast_online` factored into a
-reusable ``observe(y_t) -> forecast`` step object: the ω-window of the
-policy's own recent outputs, the replay feedback, the Page-Hinkley drift
-detector, and the policy-update triggers all live here. The batch loop
-*drives* a session (one shared code path), so batch-online and step-API
-outputs are bit-identical — enforced by
-``tests/serving/test_step_determinism.py``.
+:class:`SeriesSession` is the paper's online step as a reusable
+``observe(y_t) -> forecast`` object: the ω-window of the policy's own
+recent outputs, the replay feedback, the Page-Hinkley drift detector,
+and the policy-update triggers all live here. All four
+:class:`~repro.core.EADRL` forecast loops *drive* a session (one shared
+code path): the static loops call :meth:`SeriesSession.forecast_step`
+only, multi-step forecasting also feeds each forecast back through
+:meth:`SeriesSession.extend_history`, and
+:meth:`~repro.core.EADRL.rolling_forecast_online` closes every step with
+:meth:`SeriesSession.feedback`. Batch and step-API outputs are therefore
+bit-identical — enforced by ``tests/serving/test_step_determinism.py``.
 
 Two feeding modes exist:
 
 - **matrix mode** — the caller supplies each step's base-model
-  prediction row (what the batch loop and the evaluation harness do);
+  prediction row (what the batch loops and the evaluation harness do);
 - **pool mode** — the session holds a fitted
   :class:`~repro.models.pool.ForecasterPool` plus the true history and
   computes the row itself, which is what the multi-tenant serving layer
@@ -68,10 +71,11 @@ class SeriesSession:
     Parameters
     ----------
     agent:
-        The :class:`~repro.rl.ddpg.DDPGAgent` whose policy combines the
-        pool's predictions. The batch loop passes the estimator's own
-        agent (shared, keeps learning in place); the serving layer gives
-        every session its own clone so tenants learn independently.
+        The agent (any :class:`~repro.rl.agents.AgentProtocol`) whose
+        policy combines the pool's predictions. The batch loops pass the
+        estimator's own agent (shared; the online loop keeps training it
+        in place); the serving layer gives every session its own clone
+        so tenants learn independently.
     scaler:
         The fitted :class:`~repro.preprocessing.scaling.StandardScaler`
         of the offline phase (read-only here; safe to share).
@@ -83,8 +87,8 @@ class SeriesSession:
         Reward used to score realised transitions (paper Eq. 3).
     bootstrap_matrix:
         ``>= ω`` rows of base-model predictions preceding the stream:
-        the initial state window is the uniform combination of its last
-        ω (standardised) rows, exactly as in the batch loop.
+        the initial state window is the standardised uniform combination
+        of its last ω rows, ``transform(boot[-ω:] @ uniform)``.
     mode, interval, updates_per_trigger:
         Policy-update trigger configuration (see
         :meth:`EADRL.rolling_forecast_online`).
@@ -158,11 +162,10 @@ class SeriesSession:
         self.session_id = session_id
         self.lock = threading.RLock()
 
-        # Initial state: uniform combination of the last ω standardised
-        # bootstrap rows — bit-identical to the batch loop's
-        # ``scaled_boot @ uniform``.
+        # Initial state: the standardised uniform combination of the
+        # last ω bootstrap rows (the offline MDP's reset window).
         uniform = np.full(self.n_members, 1.0 / self.n_members)
-        self._state = self.scaler.transform(boot[-self.window:]) @ uniform
+        self._state = self.scaler.transform(boot[-self.window:] @ uniform)
         self._history = (
             np.asarray(history, dtype=np.float64).copy()
             if history is not None else None
@@ -212,14 +215,14 @@ class SeriesSession:
         return self._pending
 
     # ------------------------------------------------------------------
-    # Step primitives (the batch loop drives these directly)
+    # Step primitives (the batch loops drive these directly)
     # ------------------------------------------------------------------
     def forecast_step(
         self, prediction_row: np.ndarray, mask: Optional[np.ndarray] = None
     ) -> float:
         """Combine one base-model prediction row into a forecast.
 
-        Mirrors one iteration head of the batch online loop: query the
+        One iteration head of every forecast loop: query the
         policy for weights, degrade over unhealthy members, store a
         replay transition once ω fully-healthy realised pairs exist, and
         advance the state window with the (scaled) ensemble output.
@@ -322,7 +325,7 @@ class SeriesSession:
     def feedback(self, y: float) -> None:
         """Close the pending forecast with its realised value.
 
-        Mirrors the iteration tail of the batch online loop: push the
+        The iteration tail of the online loop: push the
         (scaled) realised pair into the reward ring, feed the absolute
         forecast error to the drift detector, and run the configured
         policy updates when the periodic or drift trigger fires.
@@ -361,8 +364,18 @@ class SeriesSession:
             self.steps_since_update = 0
             self.last_update_trigger = trigger
         if self._history is not None:
-            self._history = np.append(self._history, y)
+            self.extend_history(y)
         self._pending = False
+
+    def extend_history(self, y: float) -> None:
+        """Append ``y`` to the pool-mode history; no feedback.
+
+        The reward ring, drift detector and update triggers are left
+        alone, and a pending forecast stays pending. Multi-step
+        forecasting (:meth:`repro.core.EADRL.forecast`) feeds each
+        forecast back into the pool inputs this way.
+        """
+        self._history = np.append(self._history, float(y))
 
     # ------------------------------------------------------------------
     # The serving step API
@@ -405,7 +418,7 @@ class SeriesSession:
         if self._pending:
             self.feedback(y)
         elif self._history is not None:
-            self._history = np.append(self._history, float(y))
+            self.extend_history(y)
         else:
             raise ConfigurationError(
                 "observe() before any forecast on a matrix-mode "
@@ -432,47 +445,29 @@ class SeriesSession:
             return float(self.scaler.inverse_transform(scaled_out))
 
     # ------------------------------------------------------------------
-    # Resume seams
+    # Spill / restore (serving SessionStore, forecast-loop snapshots)
     # ------------------------------------------------------------------
-    def restore_loop_state(
-        self,
-        *,
-        state: np.ndarray,
-        next_step: int,
-        steps_since_update: int,
-        detector_state: Dict[str, Any],
-        recent_rows: Optional[np.ndarray] = None,
-        recent_truths: Optional[np.ndarray] = None,
-    ) -> None:
-        """Seed the session mid-stream (the batch loop's resume path).
+    def window_state(self) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
+        """The forecast-only part of :meth:`checkpoint_state`.
 
-        ``recent_rows``/``recent_truths`` are the *raw* rows/values of
-        the last ``min(ω, next_step)`` realised steps; the session
-        re-derives the scaled reward ring and health masks from them,
-        reproducing the uninterrupted run bit-exactly.
+        The ω-window, the step counter and (pool mode) the history.
+        That is everything a stream that never calls :meth:`feedback`
+        needs to resume: its reward ring, detector and agent never
+        change. :meth:`restore_checkpoint_state` accepts either form.
         """
-        self._state = np.asarray(state, dtype=np.float64).copy()
-        self.step = int(next_step)
-        self._realised = int(next_step)
-        self.steps_since_update = int(steps_since_update)
-        self.detector.restore_checkpoint_state(detector_state)
-        if recent_rows is not None:
-            rows = np.asarray(recent_rows, dtype=np.float64)
-            truths = np.asarray(recent_truths, dtype=np.float64)
-            k = min(self.window, rows.shape[0])
-            if k:
-                self._recent_rows[self.window - k:] = (
-                    self.scaler.transform(rows[-k:])
-                )
-                self._recent_truths[self.window - k:] = (
-                    self.scaler.transform(truths[-k:])
-                )
-                self._recent_masks[self.window - k:] = np.isfinite(rows[-k:])
-        self._pending = False
+        with self.lock:
+            arrays: Dict[str, np.ndarray] = {
+                "session.state": self._state.copy(),
+            }
+            if self._history is not None:
+                arrays["session.history"] = self._history.copy()
+            meta: Dict[str, Any] = {
+                "step": self.step,
+                "window": self.window,
+                "n_members": self.n_members,
+            }
+            return arrays, meta
 
-    # ------------------------------------------------------------------
-    # Spill / restore (serving SessionStore)
-    # ------------------------------------------------------------------
     def checkpoint_state(
         self, *, pristine_light: bool = False
     ) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
@@ -483,30 +478,27 @@ class SeriesSession:
         agent — plus the ω-window, the reward ring, the drift detector,
         the pending forecast, and (pool mode) the true history.
 
-        ``pristine_light`` is forwarded to
-        :meth:`DDPGAgent.checkpoint_state`: a never-updated agent then
-        omits its network/optimizer arrays (the restorer re-copies them
-        from the bundle template), shrinking spill payloads by an order
-        of magnitude.
+        ``pristine_light`` is forwarded to the agent's
+        ``checkpoint_state``: a never-updated agent then omits its
+        network/optimizer arrays (the restorer re-copies them from the
+        bundle template), shrinking spill payloads by an order of
+        magnitude.
         """
         with self.lock:
-            arrays: Dict[str, np.ndarray] = {
-                "session.state": self._state.copy(),
+            arrays, meta = self.window_state()
+            arrays.update({
                 "session.recent_rows": self._recent_rows.copy(),
                 "session.recent_truths": self._recent_truths.copy(),
                 "session.recent_masks": self._recent_masks.copy(),
                 "session.last_row": self._last_row_scaled.copy(),
                 "session.last_mask": self._last_mask.copy(),
-            }
-            if self._history is not None:
-                arrays["session.history"] = self._history.copy()
+            })
             agent_arrays, agent_meta = self.agent.checkpoint_state(
                 pristine_light=pristine_light
             )
             arrays.update(_prefixed("agent", agent_arrays))
-            meta: Dict[str, Any] = {
+            meta.update({
                 "agent": agent_meta,
-                "step": self.step,
                 "realised": self._realised,
                 "steps_since_update": self.steps_since_update,
                 "detector": self.detector.checkpoint_state(),
@@ -517,15 +509,14 @@ class SeriesSession:
                 "mode": self.mode,
                 "interval": self.interval,
                 "updates_per_trigger": self.updates_per_trigger,
-                "window": self.window,
-                "n_members": self.n_members,
-            }
+            })
             return arrays, meta
 
     def restore_checkpoint_state(
         self, arrays: Dict[str, np.ndarray], meta: Dict[str, Any]
     ) -> None:
-        """Restore a snapshot from :meth:`checkpoint_state` in place."""
+        """Restore a :meth:`checkpoint_state` or :meth:`window_state`
+        snapshot in place (the latter leaves the agent untouched)."""
         if (
             int(meta["window"]) != self.window
             or int(meta["n_members"]) != self.n_members
@@ -537,6 +528,11 @@ class SeriesSession:
             )
         with self.lock:
             self._state = arrays["session.state"].copy()
+            if "session.history" in arrays:
+                self._history = arrays["session.history"].copy()
+            self.step = int(meta["step"])
+            if "agent" not in meta:
+                return
             self._recent_rows = arrays["session.recent_rows"].copy()
             self._recent_truths = arrays["session.recent_truths"].copy()
             self._recent_masks = (
@@ -544,12 +540,9 @@ class SeriesSession:
             )
             self._last_row_scaled = arrays["session.last_row"].copy()
             self._last_mask = arrays["session.last_mask"].astype(bool).copy()
-            if "session.history" in arrays:
-                self._history = arrays["session.history"].copy()
             self.agent.restore_checkpoint_state(
                 _strip_prefix("agent", arrays), meta["agent"]
             )
-            self.step = int(meta["step"])
             self._realised = int(meta["realised"])
             self.steps_since_update = int(meta["steps_since_update"])
             self.detector.restore_checkpoint_state(meta["detector"])

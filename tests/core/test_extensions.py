@@ -18,6 +18,9 @@ from repro.core import (
 )
 from repro.exceptions import ConfigurationError, DataValidationError, NotFittedError
 from repro.models import ForecasterPool, build_pool, build_pool_for_series
+from repro.models.base import Forecaster, MeanForecaster, NaiveForecaster
+from repro.models.ets import SimpleExpSmoothing
+from repro.preprocessing.embedding import validate_series
 from repro.nn import Linear, load_module, save_module
 from repro.rl.ddpg import DDPGConfig
 
@@ -206,6 +209,119 @@ class TestOnlineUpdates:
         # one transition per step once the ω-window has filled
         expected = P.shape[0] - model.config.window
         assert len(model.agent.buffer) == before + expected
+
+    def test_none_mode_matches_static_loop_bit_for_bit(self):
+        """Both loops drive the same session step, so without updates
+        they agree exactly. On this matrix the two bootstrap formulas
+        (scale-then-average vs average-then-scale) once disagreed in
+        the last ulp and moved one output."""
+        case = np.random.default_rng(8)
+        truth = np.sin(np.arange(80) * 0.25) * 2.0 + 5.0
+        noise_scale = np.array([1.0, 0.1, 0.7, 1.5])
+        P = truth[:, None] + noise_scale[None, :] * case.standard_normal(
+            (80, 4)
+        )
+        model = EADRL(pool_size="small", config=quick_config())
+        model.fit_policy_from_matrix(P[:50], truth[:50])
+        static, static_w = model.rolling_forecast_from_matrix(
+            P[50:], return_weights=True
+        )
+        online, online_w = model.rolling_forecast_online(
+            P[50:], truth[50:], mode="none", return_weights=True
+        )
+        np.testing.assert_array_equal(online, static)
+        np.testing.assert_array_equal(online_w, static_w)
+
+    def test_static_loops_leave_agent_read_only(self, short_series):
+        members = [MeanForecaster(), NaiveForecaster(), SimpleExpSmoothing()]
+        model = EADRL(models=members, config=quick_config())
+        model.fit(short_series[:150])
+        actor = {k: v.copy() for k, v in model.agent.actor.state_dict().items()}
+        buffered = len(model.agent.buffer)
+        P = model.pool.prediction_matrix(short_series, 150)
+        boot = model.pool.prediction_matrix(short_series[:150], 140)
+
+        model.rolling_forecast_from_matrix(P, bootstrap_predictions=boot)
+        model.rolling_forecast(short_series, start=150)
+        model.forecast(short_series[:150], 12)
+
+        assert len(model.agent.buffer) == buffered
+        after = model.agent.actor.state_dict()
+        for name, value in actor.items():
+            np.testing.assert_array_equal(after[name], value)
+
+
+class _NaNAtLength(Forecaster):
+    """Unguarded member whose forecast is NaN at one history length."""
+
+    name = "nan-at-length"
+
+    def __init__(self, length: int):
+        super().__init__()
+        self.length = length
+
+    def fit(self, series):
+        validate_series(series)
+        self._fitted = True
+        return self
+
+    def predict_next(self, history) -> float:
+        history = np.asarray(history, dtype=np.float64)
+        if history.size == self.length:
+            return float("nan")
+        return float(0.5 * history[-1] + 0.5 * history[-3:].mean())
+
+
+class TestNaNPoisoning:
+    """A single NaN member prediction must not poison the state window.
+
+    Every loop masks non-finite predictions the way the matrix loop
+    always did, so the series-level loops stay finite and agree with
+    :meth:`EADRL.rolling_forecast_from_matrix` on the same rows.
+    """
+
+    START = 130
+
+    @pytest.fixture
+    def model(self, short_series):
+        members = [_NaNAtLength(self.START + 20), NaiveForecaster(),
+                   MeanForecaster(), SimpleExpSmoothing()]
+        model = EADRL(models=members, config=quick_config())
+        model.fit(short_series[: self.START])
+        return model
+
+    def test_rolling_forecast_masks_nan(self, model, short_series):
+        out = model.rolling_forecast(short_series, start=self.START)
+        assert out.size == 70
+        assert np.isfinite(out).all()
+
+        P = model.pool.prediction_matrix(short_series, self.START)
+        assert np.isnan(P).sum() == 1
+        boot = model.pool.prediction_matrix(
+            short_series[: self.START], self.START - model.config.window
+        )
+        expected = model.rolling_forecast_from_matrix(
+            P, bootstrap_predictions=boot
+        )
+        np.testing.assert_array_equal(out, expected)
+
+    def test_forecast_masks_nan(self, model, short_series):
+        history = short_series[: self.START + 10]
+        out = model.forecast(history, 20)
+        assert np.isfinite(out).all()
+
+        rows = np.stack([
+            model.pool.predict_next(np.append(history, out[:j]))
+            for j in range(out.size)
+        ])
+        assert np.isnan(rows).sum() == 1
+        boot = model.pool.prediction_matrix(
+            history, history.size - model.config.window
+        )
+        expected = model.rolling_forecast_from_matrix(
+            rows, bootstrap_predictions=boot
+        )
+        np.testing.assert_array_equal(out, expected)
 
 
 class TestPolicyPersistence:

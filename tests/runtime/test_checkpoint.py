@@ -293,3 +293,40 @@ class TestLoopCheckpointer:
         snapshot = resumer.restore()
         assert snapshot is not None
         assert snapshot.meta["next_step"] == 5
+
+    def test_retired_loop_layout_skipped_on_resume(self, tmp_path, toy_matrix):
+        """A forecast-loop snapshot in the retired per-loop ``loop.*``
+        layout lacks the ``layout`` context key: resume skips it as a
+        context mismatch and runs from scratch instead of failing on
+        the missing session arrays."""
+        from repro.core import EADRL, EADRLConfig
+        from repro.rl.ddpg import DDPGConfig
+
+        P, y = toy_matrix
+
+        def fitted(checkpoint=None) -> EADRL:
+            model = EADRL(pool_size="small", config=EADRLConfig(
+                episodes=2, max_iterations=15, checkpoint=checkpoint,
+                ddpg=DDPGConfig(seed=0, batch_size=8, warmup_steps=16),
+            ))
+            model.fit_policy_from_matrix(P[:50], y[:50])
+            return model
+
+        expected = fitted().rolling_forecast_from_matrix(P[50:])
+        window, n_steps = 10, P.shape[0] - 50
+        old = LoopCheckpointer(
+            CheckpointManager(tmp_path), "matrix", every=1,
+            context={"n_members": 4, "n_steps": n_steps, "window": window},
+        )
+        old.after_step(9, {
+            "loop.state": np.zeros(window),
+            "loop.outputs": np.zeros(10),
+            "loop.weights": np.full((10, 4), 0.25),
+        }, {})
+
+        resumed = fitted(CheckpointConfig(
+            directory=str(tmp_path), every=10, resume=True
+        ))
+        assert resumed.config.window == window
+        actual = resumed.rolling_forecast_from_matrix(P[50:])
+        np.testing.assert_array_equal(actual, expected)
