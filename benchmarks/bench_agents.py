@@ -25,7 +25,6 @@ Results land in ``BENCH_agents.json`` for CI upload. Run directly::
 from __future__ import annotations
 
 import argparse
-import json
 import platform
 import sys
 import tempfile
@@ -48,6 +47,8 @@ from repro.models.ets import SimpleExpSmoothing
 from repro.rl.agents import agent_names
 from repro.rl.ddpg import DDPGConfig
 from repro.serving import ForecastService, ModelBundle, ServiceConfig
+
+from stamp import write_result
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_agents.json"
@@ -222,7 +223,7 @@ def main(argv=None) -> int:
         "serving": serving,
         "gates": gates,
     }
-    args.out.write_text(json.dumps(result, indent=2) + "\n")
+    write_result(args.out, result, quick=args.quick)
     print(f"\nwrote {args.out}")
     failed = [name for name, ok in gates.items() if not ok]
     if failed:

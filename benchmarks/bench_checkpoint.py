@@ -28,7 +28,6 @@ Run directly::
 from __future__ import annotations
 
 import argparse
-import json
 import platform
 import sys
 import tempfile
@@ -43,6 +42,8 @@ from repro.evaluation.protocol import prepare_dataset
 from repro.obs import MemorySink, configure, shutdown, OBS
 from repro.rl.ddpg import DDPGConfig
 from repro.runtime.executor import available_workers
+
+from stamp import write_result
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_checkpoint.json"
@@ -177,7 +178,7 @@ def main(argv=None) -> int:
         "resume_bit_identical": resume_identical,
         "save_stats": stats,
     }
-    args.output.write_text(json.dumps(result, indent=2) + "\n")
+    write_result(args.output, result, quick=args.quick)
     print(f"wrote {args.output}")
 
     if not identical or not resume_identical:

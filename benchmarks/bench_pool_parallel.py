@@ -22,7 +22,6 @@ acceptance target applies to hosts with >= 4 usable cores.
 from __future__ import annotations
 
 import argparse
-import json
 import platform
 import sys
 import time
@@ -32,6 +31,8 @@ import numpy as np
 
 from repro.models import ForecasterPool, build_pool
 from repro.runtime.executor import available_workers
+
+from stamp import write_result
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_pool_parallel.json"
 
@@ -139,7 +140,7 @@ def main(argv=None) -> int:
         "runs": runs,
         "all_bit_identical": identical,
     }
-    args.output.write_text(json.dumps(result, indent=2) + "\n")
+    write_result(args.output, result, quick=args.quick)
     print(f"wrote {args.output}")
 
     if not identical:

@@ -65,6 +65,8 @@ from repro.serving import (
     ServiceConfig,
 )
 
+from stamp import write_result
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_serving.json"
 MIN_SESSIONS_FULL = 104
@@ -674,7 +676,7 @@ def main(argv=None) -> int:
         result["profile_1k"] = profile_1k
     if gil_ceiling is not None:
         result["profile_gil_ceiling"] = gil_ceiling
-    args.output.write_text(json.dumps(result, indent=2) + "\n")
+    write_result(args.output, result, quick=args.quick)
     print(f"wrote {args.output}")
 
     failed = []

@@ -26,7 +26,6 @@ Run directly::
 from __future__ import annotations
 
 import argparse
-import json
 import platform
 import sys
 import time
@@ -41,6 +40,8 @@ from repro.obs import JsonlSink, MemorySink, configure, shutdown
 from repro.rl.mdp import Transition
 from repro.runtime import combine_masked
 from repro.runtime.executor import available_workers
+
+from stamp import write_result
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_telemetry.json"
@@ -250,7 +251,7 @@ def main(argv=None) -> int:
         "within_budget": within_budget,
         "outputs_bit_identical": identical,
     }
-    args.output.write_text(json.dumps(result, indent=2) + "\n")
+    write_result(args.output, result, quick=args.quick)
     print(f"wrote {args.output}")
     print(f"wrote {args.trace_output} (sample JSONL trace)")
 

@@ -48,7 +48,7 @@ from repro.exceptions import (
 )
 from repro.models.base import Forecaster
 from repro.models.pool import ForecasterPool, build_pool
-from repro.obs import OBS
+from repro.obs import OBS, TRACER
 from repro.obs import configure as _configure_telemetry
 from repro.obs import get_logger
 from repro.persistence import resolve_npz_path, save_npz_atomic
@@ -315,14 +315,15 @@ class EADRL:
             session.restore_checkpoint_state(snapshot.arrays, snapshot.meta)
         telemetry = None
         for i in range(first, n_steps):
-            with OBS.span("online.step") as step_span:
+            with TRACER.span("online.step") as step_span:
                 outputs[i] = advance(i)
                 weight_log[i] = session.last_weights
-            node = step_span.node
-            if node is not None:
+            if step_span.duration is not None and OBS.enabled:
                 if telemetry is None:
                     telemetry = _StepTelemetry(phase, feeds_back)
-                telemetry.record(session, i, float(outputs[i]), node.duration)
+                telemetry.record(
+                    session, i, float(outputs[i]), step_span.duration
+                )
             if checkpointer is not None and checkpointer.due(i):
                 arrays, meta = (
                     session.checkpoint_state() if feeds_back
@@ -348,7 +349,7 @@ class EADRL:
                 f"the configured window/pool"
             )
 
-        with OBS.span("eadrl.fit"):
+        with TRACER.span("eadrl.fit"):
             OBS.emit("fit_start", n_observations=int(series.size),
                      pool_cut=cut, n_members=len(self.pool))
             self.pool.fit(series[:cut])
@@ -480,7 +481,7 @@ class EADRL:
         session = self.online_session(
             mode="none", bootstrap_predictions=bootstrap_predictions
         )
-        with OBS.span("eadrl.rolling_forecast_from_matrix"):
+        with TRACER.span("eadrl.rolling_forecast_from_matrix"):
             return self._drive(
                 "matrix", session, predictions.shape[0],
                 lambda i: session.forecast_step(predictions[i]),
@@ -523,7 +524,7 @@ class EADRL:
         """
         self._check_fitted()
         array = validate_series(series, min_length=start + 1)
-        with OBS.span("eadrl.rolling_forecast"):
+        with TRACER.span("eadrl.rolling_forecast"):
             predictions, healthy = self.pool.prediction_matrix_with_mask(
                 array, start
             )
@@ -554,7 +555,7 @@ class EADRL:
             session.extend_history(value)
             return value
 
-        with OBS.span("eadrl.forecast"):
+        with TRACER.span("eadrl.forecast"):
             return self._drive(
                 "multistep", session, horizon, advance,
                 history_length=int(session.history.size),
@@ -615,7 +616,7 @@ class EADRL:
             session.feedback(truth[i])
             return output
 
-        with OBS.span("eadrl.rolling_forecast_online"):
+        with TRACER.span("eadrl.rolling_forecast_online"):
             return self._drive(
                 "online", session, predictions.shape[0], advance,
                 return_weights, feeds_back=True, mode=mode,

@@ -43,7 +43,7 @@ from repro.models.recurrent_forecasters import (
 )
 from repro.models.svr import SVRForecaster
 from repro.models.tree import DecisionTreeForecaster
-from repro.obs import OBS, get_logger
+from repro.obs import OBS, TRACER, get_logger
 from repro.preprocessing.embedding import validate_series
 
 _LOG = get_logger("pool")
@@ -443,7 +443,7 @@ class ForecasterPool:
         survivors: List[Forecaster] = []
         self.dropped_ = []
         parallel = self._use_parallel()
-        with OBS.span("pool.fit"):
+        with TRACER.span("pool.fit"):
             if parallel:
                 outcomes = self._parallel_fit(array)
             else:
@@ -517,7 +517,7 @@ class ForecasterPool:
         if not self._fitted:
             raise DataValidationError("pool must be fitted before predicting")
         guarded = self._guard_config is not None
-        with OBS.span("pool.prediction_matrix"):
+        with TRACER.span("pool.prediction_matrix"):
             if self._use_parallel():
                 outcomes = self._parallel_rolling(series, start, guarded)
             else:

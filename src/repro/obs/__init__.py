@@ -9,12 +9,13 @@ Dependency-free (stdlib + numpy) telemetry for the EA-DRL runtime:
 - :data:`OBS` / :func:`configure` / :func:`session` — the process-global
   telemetry session with a one-attribute-check no-op fast path
   (:mod:`repro.obs.telemetry`);
-- ``OBS.span(name)`` — nested wall-clock timing trees
-  (:mod:`repro.obs.spans`);
-- :data:`TRACER` / :class:`TraceAssembler` — cross-process request
-  tracing for the serving runtime: per-process JSONL span sinks,
-  ``X-Trace-Id`` / RPC-envelope propagation, and offline assembly into
-  per-request timelines (:mod:`repro.obs.trace`, ``repro trace`` CLI);
+- :data:`TRACER` / :class:`TraceAssembler` — the one span model for
+  training, evaluation and serving: nested wall-clock spans that feed
+  the ``repro_span_seconds`` histogram, ``span`` run events and
+  per-process JSONL trace files, ``X-Trace-Id`` / RPC-envelope
+  propagation, and offline assembly into timelines with a
+  critical-path breakdown (:mod:`repro.obs.trace`, ``repro trace``
+  CLI);
 - :class:`JsonlSink` / :class:`PromTextSink` / :class:`MemorySink` —
   pluggable outputs (:mod:`repro.obs.sinks`);
 - :func:`get_logger` / :func:`configure_logging` — the stdlib-logging
@@ -39,7 +40,6 @@ from repro.obs.registry import (
     sanitize_metric_name,
 )
 from repro.obs.sinks import JsonlSink, MemorySink, PromTextSink, Sink
-from repro.obs.spans import SpanNode, SpanTracker
 from repro.obs.telemetry import (
     OBS,
     PeriodicFlusher,
@@ -62,8 +62,6 @@ from repro.obs.trace import (
     TraceContext,
     Tracer,
     assemble_trace_dir,
-    disable_tracing,
-    enable_tracing,
     iter_trace_records,
 )
 
@@ -84,9 +82,7 @@ __all__ = [
     "PeriodicFlusher",
     "PromTextSink",
     "Sink",
-    "SpanNode",
     "SpanRecord",
-    "SpanTracker",
     "TRACE_ID_HEADER",
     "TRACER",
     "Telemetry",
@@ -97,8 +93,6 @@ __all__ = [
     "assemble_trace_dir",
     "configure",
     "configure_logging",
-    "disable_tracing",
-    "enable_tracing",
     "enabled",
     "get_logger",
     "iter_trace_records",

@@ -1,27 +1,33 @@
-"""Distributed request tracing across the serving runtime's processes.
+"""The one span model: timing, tracing and span records.
 
-The PR 3 span trees (:mod:`repro.obs.spans`) time nested regions inside
-*one* process. The serving stack spans several — HTTP frontend →
-micro-batcher → shard RPC → worker → store/pool/actor — so explaining a
-slow request needs spans that share one **trace id** across process
-boundaries. This module provides exactly that, dependency-free:
+Every timed region of the runtime — the offline fit (``eadrl.fit``,
+``pool.fit``, ``ddpg.train``), the forecast loops and their
+``online.step``, checkpoint I/O, and each layer of a served request —
+is a span opened with ``TRACER.span(name)``. Spans opened while another
+is open on the same thread become its children; spans share one
+**trace id** across threads and processes, so a request that crosses
+HTTP frontend → micro-batcher → shard RPC → worker → store/pool/actor
+stays one timeline:
 
-- :class:`TraceContext` — ``(trace_id, span_id, baggage)`` minted at
-  ingress (or adopted from an ``X-Trace-Id`` header) and propagated
+- :class:`TraceContext` — ``(trace_id, span_id, baggage)`` minted at a
+  root (or adopted from an ``X-Trace-Id`` header) and propagated
   through thread hops (captured explicitly by the micro-batcher) and
   process hops (a ``trace`` dict on the shard RPC envelope);
-- :class:`Tracer` / :data:`TRACER` — the process-global recorder. Each
-  process appends finished spans to **its own** JSONL file
-  (``trace-<process>.<pid>.jsonl`` under a shared directory), so no
-  cross-process synchronisation exists on the hot path. Disabled (the
-  default) every call site costs one attribute read and
-  :data:`NOOP_TRACE_SPAN`;
-- :class:`TraceAssembler` — reads any number of those files and
-  stitches per-request timelines back together: parent/child trees
-  across processes, wall-time coverage, a critical-path breakdown
-  (queue wait, coalesce wait, RPC, restore/spill, pool eval, actor
-  forward, checkpoint), and links from coalesced requests to their
-  shared batch span. Surfaced as the ``repro trace`` CLI.
+- :class:`Tracer` / :data:`TRACER` — the process-global recorder. Spans
+  are live while a trace directory is open (:meth:`Tracer.enable`) or a
+  telemetry session is on; otherwise every call site costs one
+  attribute read and returns :data:`NOOP_TRACE_SPAN`. A closing live
+  span observes ``repro_span_seconds{span=<name>}`` (telemetry on),
+  appends its record to this process's own JSONL file
+  (``trace-<process>.<pid>.jsonl``, trace directory open), and emits
+  the same record as a ``span`` run event to the telemetry sinks;
+- :class:`TraceAssembler` — reads any number of span files (or
+  ``--trace`` run-event files) and stitches timelines back together:
+  parent/child trees across processes, wall-time coverage, a
+  critical-path breakdown (queue wait, RPC, restore/spill, pool eval,
+  actor forward, agent training, checkpoint, …), and links from
+  coalesced requests to their shared batch span. Surfaced as the
+  ``repro trace`` CLI.
 
 Span records are plain JSON lines::
 
@@ -30,13 +36,15 @@ Span records are plain JSON lines::
      "dur": <s>, "attrs": {"shard": 2}}
 
 plus ``{"meta": ...}`` lines carrying per-process drop counters, so a
-truncated trace is visibly incomplete instead of silently short
-(``repro_obs_spans_dropped_total{source="trace"}`` counts the same
-drops in the metrics registry).
+truncated trace is visibly incomplete instead of silently short. Two
+caps bound hot loops: a span records at most :data:`MAX_CHILDREN`
+in-process children (the rest, and everything beneath them, count in
+``repro_obs_spans_dropped_total{source="span_tree"}`` while the
+histogram still sees them), and a process records at most
+:data:`MAX_SPANS_PER_PROCESS` spans (``source="trace"``).
 
-Determinism contract: tracing only *reads* request state — outputs of a
-traced run are bit-identical to an untraced one, and the disabled fast
-path stays inside the PR 3 overhead budget.
+Determinism contract: spans only *read* program state — outputs of a
+traced run are bit-identical to an untraced one.
 """
 
 from __future__ import annotations
@@ -60,6 +68,10 @@ _ID_PATTERN = re.compile(r"^[0-9a-f]{8,32}$")
 #: Spans recorded per process before further spans are dropped (and
 #: counted — see ``Tracer.dropped``).
 MAX_SPANS_PER_PROCESS = 200_000
+
+#: In-process children a span records; later ones (and their
+#: descendants) are timed but dropped from the record.
+MAX_CHILDREN = 64
 
 #: Sentinel for ``Tracer.span(parent=NEW_TRACE)``: force a fresh root
 #: trace even when an ambient context is active (the shared batch span).
@@ -107,11 +119,16 @@ class TraceContext:
 
 
 class _NoopTraceSpan:
-    """Shared do-nothing span for the disabled fast path."""
+    """Shared do-nothing span for the disabled fast path.
+
+    ``ctx`` and ``duration`` are class attributes so call sites can read
+    them unconditionally: ``None`` here, set on a live span.
+    """
 
     __slots__ = ()
 
     ctx: Optional[TraceContext] = None
+    duration: Optional[float] = None
 
     def __enter__(self) -> "_NoopTraceSpan":
         return self
@@ -124,10 +141,18 @@ NOOP_TRACE_SPAN = _NoopTraceSpan()
 
 
 class TraceSpan:
-    """One live cross-process span; records itself on ``__exit__``."""
+    """One live span; ``duration`` is set and the span recorded on exit.
 
-    __slots__ = ("_tracer", "name", "ctx", "parent_id", "attrs",
-                 "start", "_t0")
+    A span past its in-process parent's child cap is *dropped*: it is
+    still timed (and observed into the span histogram) but never
+    recorded, and it shares its parent's context, so spans opened
+    beneath it are dropped too or, across a thread hop, attach to the
+    nearest recorded ancestor.
+    """
+
+    __slots__ = ("_tracer", "name", "ctx", "parent_id", "attrs", "start",
+                 "_t0", "duration", "dropped", "children",
+                 "dropped_children")
 
     def __init__(
         self,
@@ -136,6 +161,7 @@ class TraceSpan:
         ctx: TraceContext,
         parent_id: Optional[str],
         attrs: Dict[str, Any],
+        dropped: bool = False,
     ):
         self._tracer = tracer
         self.name = name
@@ -145,40 +171,45 @@ class TraceSpan:
         self.attrs = attrs
         self.start = 0.0
         self._t0 = 0.0
+        self.duration: Optional[float] = None
+        self.dropped = dropped
+        self.children = 0
+        self.dropped_children = 0
 
     def __enter__(self) -> "TraceSpan":
-        self._tracer._push(self.ctx)
+        self._tracer._stack().append(self)
         self.start = time.time()
         self._t0 = time.perf_counter()
         return self
 
     def __exit__(self, *exc_info) -> None:
-        duration = time.perf_counter() - self._t0
-        self._tracer._pop(self.ctx)
-        self._tracer._record(
-            self.name, self.ctx.trace_id, self.ctx.span_id,
-            self.parent_id, self.start, duration, self.attrs,
-        )
+        self.duration = time.perf_counter() - self._t0
+        self._tracer._close(self)
         return None
 
 
 class Tracer:
-    """Per-process trace recorder with an ambient-context stack.
+    """Per-process span recorder with an ambient-context stack.
 
-    One instance (:data:`TRACER`) lives per process; :meth:`enable`
-    points it at a JSONL file inside a shared trace directory. Contexts
-    propagate implicitly down a thread (``span`` pushes its context on
-    a thread-local stack) and explicitly across threads and processes
-    (``current()`` → capture, ``activate``/``parent=`` → restore).
+    One instance (:data:`TRACER`) lives per process. Spans are live
+    while a trace directory is open (:meth:`enable`) or a telemetry
+    session is on (:meth:`Telemetry.configure
+    <repro.obs.telemetry.Telemetry.configure>` binds it). Contexts
+    propagate implicitly down a thread (``span`` pushes itself on a
+    thread-local stack) and explicitly across threads and processes
+    (``current()`` → capture, ``parent=`` → restore).
     """
 
     def __init__(self) -> None:
+        #: True while spans are live; the disabled fast path reads it.
         self.enabled = False
-        self.process = ""
+        self.process = "main"
         self.path: Optional[Path] = None
         self.recorded = 0
         self.dropped = 0
         self.max_spans = MAX_SPANS_PER_PROCESS
+        #: The telemetry session while one is on (histogram + events).
+        self.telemetry = None
         self._handle = None
         self._lock = threading.Lock()
         self._local = threading.local()
@@ -187,6 +218,11 @@ class Tracer:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
+    @property
+    def writing(self) -> bool:
+        """Whether a trace directory is open for this process."""
+        return self._handle is not None
+
     def enable(
         self,
         trace_dir,
@@ -223,80 +259,69 @@ class Tracer:
 
     def disable(self) -> None:
         """Write the final drop-count meta line and close the sink."""
-        if not self.enabled:
+        if self._handle is None:
             return
-        self.enabled = False
         self._write({"meta": "tracer_stop", "process": self.process,
                      "pid": os.getpid(), "recorded": self.recorded,
                      "dropped": self.dropped})
         handle, self._handle = self._handle, None
-        if handle is not None:
-            try:
-                handle.close()
-            except OSError:  # pragma: no cover - close race
-                pass
+        self.enabled = self.telemetry is not None
+        try:
+            handle.close()
+        except OSError:  # pragma: no cover - close race
+            pass
+
+    def bind_telemetry(self, telemetry) -> None:
+        """Attach (or, with ``None``, detach) the telemetry session."""
+        if telemetry is not None and self._handle is None:
+            self.recorded = 0
+        self.telemetry = telemetry
+        self.enabled = telemetry is not None or self._handle is not None
 
     # ------------------------------------------------------------------
     # Ambient context
     # ------------------------------------------------------------------
-    def _stack(self) -> List[TraceContext]:
+    def _stack(self) -> List[TraceSpan]:
         stack = getattr(self._local, "stack", None)
         if stack is None:
             stack = []
             self._local.stack = stack
         return stack
 
-    def _push(self, ctx: TraceContext) -> None:
-        self._stack().append(ctx)
-
-    def _pop(self, ctx: TraceContext) -> None:
-        stack = self._stack()
-        if stack and stack[-1] is ctx:
-            stack.pop()
-        elif ctx in stack:  # pragma: no cover - unbalanced exit guard
-            stack.remove(ctx)
-
     def current(self) -> Optional[TraceContext]:
         """The ambient context of this thread, if a span is open."""
         stack = self._stack()
-        return stack[-1] if stack else None
-
-    class _Activation:
-        __slots__ = ("_tracer", "_ctx")
-
-        def __init__(self, tracer: "Tracer", ctx: TraceContext):
-            self._tracer = tracer
-            self._ctx = ctx
-
-        def __enter__(self):
-            self._tracer._push(self._ctx)
-            return self._ctx
-
-        def __exit__(self, *exc_info):
-            self._tracer._pop(self._ctx)
-            return None
-
-    def activate(self, ctx: TraceContext) -> "Tracer._Activation":
-        """Reinstate a captured context on this thread (thread hop)."""
-        return Tracer._Activation(self, ctx)
+        return stack[-1].ctx if stack else None
 
     # ------------------------------------------------------------------
     # Span creation
     # ------------------------------------------------------------------
     def span(self, name: str, parent=None, **attrs):
-        """Open a span: child of ``parent`` (or the ambient context).
+        """Open a span: child of ``parent`` (or the ambient span).
 
-        ``parent=None`` uses the ambient context, minting a fresh root
-        trace when there is none (service ingress). ``parent=NEW_TRACE``
-        always mints a root (the shared batch span). Disabled tracers
-        return :data:`NOOP_TRACE_SPAN`.
+        ``parent=None`` nests under the span open on this thread,
+        minting a fresh root trace when there is none (service ingress,
+        a training run). ``parent=NEW_TRACE`` always mints a root (the
+        shared batch span). Disabled tracers return
+        :data:`NOOP_TRACE_SPAN`.
         """
         if not self.enabled:
             return NOOP_TRACE_SPAN
+        owner = None
         if parent is NEW_TRACE:
             parent_ctx = None
+        elif parent is not None:
+            parent_ctx = parent
         else:
-            parent_ctx = parent if parent is not None else self.current()
+            stack = self._stack()
+            owner = stack[-1] if stack else None
+            parent_ctx = owner.ctx if owner is not None else None
+        if owner is not None:
+            if owner.dropped or owner.children >= MAX_CHILDREN:
+                owner.dropped_children += 1
+                return TraceSpan(self, name, owner.ctx, None, attrs,
+                                 dropped=True)
+            owner.children += 1
         span_id = new_id()
         if parent_ctx is None:
             ctx = TraceContext(new_id(), span_id, attrs.pop("baggage", None))
@@ -307,7 +332,7 @@ class Tracer:
         return TraceSpan(self, name, ctx, parent_id, attrs)
 
     def child_span(self, name: str, **attrs):
-        """A span only when a request trace is already active.
+        """A span only when a trace is already active on this thread.
 
         Inner layers (store, pool, actor) use this so library calls
         outside any request never mint orphan single-span traces.
@@ -354,6 +379,28 @@ class Tracer:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
+    def _close(self, span: TraceSpan) -> None:
+        stack = self._stack()
+        if stack and stack[-1] is span:
+            stack.pop()
+        elif span in stack:  # pragma: no cover - unbalanced exit guard
+            stack.remove(span)
+        telemetry = self.telemetry
+        if telemetry is not None:
+            registry = telemetry.registry
+            registry.histogram(
+                "repro_span_seconds", {"span": span.name}
+            ).observe(span.duration)
+            if span.dropped_children:
+                registry.counter(
+                    "repro_obs_spans_dropped_total", {"source": "span_tree"}
+                ).inc(span.dropped_children)
+        if not span.dropped:
+            self._record(
+                span.name, span.ctx.trace_id, span.ctx.span_id,
+                span.parent_id, span.start, span.duration, span.attrs,
+            )
+
     def _record(
         self,
         name: str,
@@ -367,7 +414,11 @@ class Tracer:
         with self._lock:
             if self.recorded >= self.max_spans:
                 self.dropped += 1
-                self._count_drop()
+                telemetry = self.telemetry
+                if telemetry is not None:
+                    telemetry.registry.counter(
+                        "repro_obs_spans_dropped_total", {"source": "trace"}
+                    ).inc()
                 return
             self.recorded += 1
         record = {
@@ -383,16 +434,9 @@ class Tracer:
         if attrs:
             record["attrs"] = attrs
         self._write(record)
-
-    def _count_drop(self) -> None:
-        # Imported lazily: obs.telemetry imports are cheap but this
-        # module must stay importable before the registry exists.
-        from repro.obs.telemetry import OBS
-
-        if OBS.enabled:
-            OBS.registry.counter(
-                "repro_obs_spans_dropped_total", {"source": "trace"}
-            ).inc()
+        telemetry = self.telemetry
+        if telemetry is not None:
+            telemetry.emit("span", **record)
 
     def _write(self, obj: Dict[str, Any]) -> None:
         handle = self._handle
@@ -408,16 +452,6 @@ class Tracer:
 #: The process-global tracer. Call sites hold a module reference and
 #: pay one attribute read while disabled, mirroring :data:`OBS`.
 TRACER = Tracer()
-
-
-def enable_tracing(trace_dir, process: str, **kwargs) -> Tracer:
-    """Point this process's :data:`TRACER` at ``trace_dir``."""
-    return TRACER.enable(trace_dir, process, **kwargs)
-
-
-def disable_tracing() -> None:
-    """Stop recording and flush the drop-count meta line."""
-    TRACER.disable()
 
 
 # ======================================================================
@@ -444,8 +478,16 @@ SPAN_CATEGORIES = {
     "store.spill": "spill",
     "store.checkpoint": "checkpoint",
     "session.step": "session_step",
+    "online.step": "session_step",
     "pool.eval": "pool_eval",
+    "pool.prediction_matrix": "pool_eval",
+    "pool.fit": "pool_fit",
     "actor.forward": "actor_forward",
+    "ddpg.train": "agent_train",
+    "td3.train": "agent_train",
+    "sac.train": "agent_train",
+    "checkpoint.save": "checkpoint",
+    "checkpoint.restore": "checkpoint",
 }
 
 
@@ -499,6 +541,10 @@ class AssembledTrace:
         self.trace_id = trace_id
         self.spans = sorted(spans, key=lambda s: (s.start, s.duration))
         self._by_id = {s.span_id: s for s in self.spans}
+        self._children: Dict[str, List[SpanRecord]] = {}
+        for span in self.spans:
+            if span.parent_id is not None:
+                self._children.setdefault(span.parent_id, []).append(span)
 
     @property
     def root(self) -> Optional[SpanRecord]:
@@ -524,7 +570,8 @@ class AssembledTrace:
         )
 
     def children(self, span: SpanRecord) -> List[SpanRecord]:
-        return [s for s in self.spans if s.parent_id == span.span_id]
+        """In-trace children of ``span``, earliest first."""
+        return self._children.get(span.span_id, [])
 
     # ------------------------------------------------------------------
     def coverage(self) -> float:
@@ -594,7 +641,7 @@ class AssembledTrace:
         lines.append(header)
 
         def walk(span: SpanRecord, prefix: str) -> None:
-            kids = sorted(self.children(span), key=lambda s: s.start)
+            kids = self.children(span)
             for i, child in enumerate(kids):
                 last = i == len(kids) - 1
                 branch = "└─ " if last else "├─ "
@@ -656,6 +703,8 @@ class TraceAssembler:
 
     # ------------------------------------------------------------------
     def add_span(self, record: Mapping[str, Any]) -> None:
+        if record.get("event", "span") != "span":
+            return  # a --trace file's other run events
         if "meta" in record:
             if record.get("meta") == "tracer_stop":
                 process = str(record.get("process", "?"))
@@ -676,7 +725,8 @@ class TraceAssembler:
                     continue
                 try:
                     self.add_span(json.loads(line))
-                except (json.JSONDecodeError, KeyError, ValueError, TypeError):
+                except (json.JSONDecodeError, KeyError, ValueError, TypeError,
+                        AttributeError):
                     # A torn final line from a killed process is
                     # expected; count it instead of failing assembly.
                     self.malformed_lines += 1

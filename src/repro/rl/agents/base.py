@@ -42,7 +42,7 @@ from repro.exceptions import (
     DataValidationError,
 )
 from repro.nn import init as init_schemes
-from repro.obs import OBS
+from repro.obs import OBS, TRACER
 from repro.rl.mdp import EnsembleMDP, Transition, project_to_simplex
 from repro.rl.replay import ReplayBuffer
 
@@ -270,7 +270,7 @@ class BaseAgent:
         """
         if episodes < 1:
             raise ConfigurationError(f"episodes must be >= 1, got {episodes}")
-        with OBS.span(f"{self.name}.train"):
+        with TRACER.span(f"{self.name}.train"):
             start_episode = 0
             if checkpoint is not None:
                 start_episode = checkpoint.restore_into(self)

@@ -42,7 +42,7 @@ from repro.exceptions import (
     CheckpointError,
     ConfigurationError,
 )
-from repro.obs import OBS, get_logger
+from repro.obs import OBS, TRACER, get_logger
 from repro.persistence import (
     PathLike,
     atomic_write_bytes,
@@ -256,7 +256,7 @@ class CheckpointManager:
             )
         if step < 0:
             raise ConfigurationError(f"step must be >= 0, got {step}")
-        with OBS.span("checkpoint.save"):
+        with TRACER.span("checkpoint.save"):
             if not self._directory_ready:
                 self.directory.mkdir(parents=True, exist_ok=True)
                 self._directory_ready = True
@@ -425,7 +425,7 @@ class CheckpointManager:
         degraded-mode serving rather than a 404).
         """
         corrupt: List[str] = []
-        with OBS.span("checkpoint.restore"):
+        with TRACER.span("checkpoint.restore"):
             for manifest_path in self.manifest_paths(kind):
                 try:
                     snapshot = self.load(manifest_path)

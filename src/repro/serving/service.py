@@ -216,7 +216,7 @@ class ForecastService:
             )
         self.bundle = bundle
         self._owns_tracer = False
-        if self.config.trace_dir and not TRACER.enabled:
+        if self.config.trace_dir and not TRACER.writing:
             # Shard workers enable their tracer (with a shard role)
             # before building their service, so this only fires for
             # in-process deployments and the plain-service path.

@@ -232,7 +232,7 @@ class ShardSupervisor:
         self.retry_policy.validate()
         self.heartbeat_timeout = float(heartbeat_timeout)
         self._owns_tracer = False
-        if self.config.trace_dir and not TRACER.enabled:
+        if self.config.trace_dir and not TRACER.writing:
             # The supervisor process is the request frontend; workers
             # enable their own tracers (role ``shard-<i>``) on spawn.
             TRACER.enable(self.config.trace_dir, "frontend")

@@ -1,4 +1,4 @@
-"""Distributed tracing: tracer lifecycle, propagation, assembly."""
+"""The span model: tracer lifecycle, span tree, propagation, assembly."""
 
 from __future__ import annotations
 
@@ -12,18 +12,49 @@ from repro.obs import (
     NEW_TRACE,
     NOOP_TRACE_SPAN,
     TRACER,
+    MemorySink,
     TraceAssembler,
     TraceContext,
     Tracer,
     assemble_trace_dir,
+    configure,
+    shutdown,
 )
+from repro.obs.trace import MAX_CHILDREN
 
 
 @pytest.fixture(autouse=True)
 def _tracer_disabled():
+    shutdown()
     TRACER.disable()
     yield
+    shutdown()
     TRACER.disable()
+
+
+@pytest.fixture
+def telemetry():
+    sink = MemorySink()
+    configure(sinks=[sink])
+    yield sink
+    shutdown()
+
+
+def _span_histogram(sink):
+    snapshot = sink.metric_snapshots[-1]
+    return {
+        row["labels"]["span"]: row["count"]
+        for row in snapshot["histograms"]
+        if row["name"] == "repro_span_seconds"
+    }
+
+
+def _counter(sink, name, **labels):
+    snapshot = sink.metric_snapshots[-1]
+    return sum(
+        row["value"] for row in snapshot["counters"]
+        if row["name"] == name and row["labels"] == labels
+    )
 
 
 def _records(path):
@@ -36,9 +67,14 @@ def _records(path):
 
 class TestTracerLifecycle:
     def test_disabled_tracer_returns_shared_noop(self):
+        # Telemetry off and no trace directory: spans are not live.
+        assert not TRACER.enabled
         assert TRACER.span("anything") is NOOP_TRACE_SPAN
         assert TRACER.child_span("anything") is NOOP_TRACE_SPAN
+        with NOOP_TRACE_SPAN:
+            pass  # no state, no record, no histogram
         assert NOOP_TRACE_SPAN.ctx is None
+        assert NOOP_TRACE_SPAN.duration is None
 
     def test_enable_writes_meta_and_spans(self, tmp_path):
         TRACER.enable(tmp_path, "unit")
@@ -71,6 +107,100 @@ class TestTracerLifecycle:
         stop = [r for r in _records(path) if r.get("meta") == "tracer_stop"]
         assert stop[0]["recorded"] == 2
         assert stop[0]["dropped"] == 3
+
+
+class TestSpanTree:
+    def test_live_with_telemetry_and_no_trace_dir(self, telemetry):
+        assert TRACER.enabled and not TRACER.writing
+        span = TRACER.span("eadrl.fit")
+        assert span is not NOOP_TRACE_SPAN
+        assert span.duration is None
+        with span:
+            pass
+        assert span.duration >= 0.0
+        shutdown()
+        assert not TRACER.enabled
+        assert TRACER.span("eadrl.fit") is NOOP_TRACE_SPAN
+
+    def test_nesting_builds_tree(self, telemetry):
+        with TRACER.span("outer") as outer:
+            with TRACER.span("inner") as inner:
+                pass
+            with TRACER.span("inner2"):
+                pass
+        events = telemetry.events_of("span")
+        assert [e["name"] for e in events] == ["inner", "inner2", "outer"]
+        by_name = {e["name"]: e for e in events}
+        assert by_name["outer"]["parent"] is None
+        assert by_name["inner"]["parent"] == outer.ctx.span_id
+        assert by_name["inner2"]["parent"] == outer.ctx.span_id
+        assert by_name["inner"]["span"] == inner.ctx.span_id
+        assert {e["trace"] for e in events} == {outer.ctx.trace_id}
+        assert outer.duration >= inner.duration
+
+    def test_enabled_emits_records_and_histogram(self, telemetry):
+        with TRACER.span("outer"):
+            with TRACER.span("inner"):
+                pass
+        shutdown()
+        (inner, outer) = telemetry.events_of("span")
+        assert (inner["name"], outer["name"]) == ("inner", "outer")
+        assert inner["pid"] == outer["pid"]
+        assert outer["dur"] >= inner["dur"]
+        assert _span_histogram(telemetry) == {"outer": 1, "inner": 1}
+
+    @staticmethod
+    def _overflowing_loop(extra):
+        """A root with ``MAX_CHILDREN + extra`` two-level children."""
+        with TRACER.span("root"):
+            for _ in range(MAX_CHILDREN + extra):
+                with TRACER.span("online.step"):
+                    with TRACER.child_span("actor.forward"):
+                        pass
+        shutdown()
+
+    def test_child_cap_counts_dropped(self, telemetry):
+        extra = 10
+        self._overflowing_loop(extra)
+        events = telemetry.events_of("span")
+        names = [e["name"] for e in events]
+        assert names.count("online.step") == MAX_CHILDREN
+        assert names.count("actor.forward") == MAX_CHILDREN
+        # Every dropped span counts once: the overflow steps and the
+        # forwards beneath them.
+        assert _counter(
+            telemetry, "repro_obs_spans_dropped_total", source="span_tree"
+        ) == 2 * extra
+        assembler = TraceAssembler()
+        for event in events:
+            assembler.add_span(event)
+        (trace,) = assembler.traces()
+        assert trace.root.name == "root"
+        assert trace.orphans == 0
+        assert len(trace.children(trace.root)) == MAX_CHILDREN
+
+    def test_histogram_sees_every_span(self, telemetry):
+        extra = 10
+        self._overflowing_loop(extra)
+        assert _span_histogram(telemetry) == {
+            "root": 1,
+            "online.step": MAX_CHILDREN + extra,
+            "actor.forward": MAX_CHILDREN + extra,
+        }
+
+    def test_telemetry_and_trace_dir_record_the_same_span(
+        self, telemetry, tmp_path
+    ):
+        TRACER.enable(tmp_path, "unit")
+        with TRACER.span("pool.fit", members=3):
+            pass
+        TRACER.disable()
+        assert TRACER.enabled  # the telemetry session keeps spans live
+        (path,) = tmp_path.glob("trace-unit.*.jsonl")
+        (written,) = [r for r in _records(path) if "meta" not in r]
+        (event,) = telemetry.events_of("span")
+        assert {k: event[k] for k in written} == written
+        assert written["attrs"] == {"members": 3}
 
 
 class TestPropagation:
@@ -166,6 +296,20 @@ class TestAssembly:
             "not json at all",
         ]) + "\n")
         return tmp_path
+
+    def test_run_events_are_skipped_not_malformed(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in [
+            {"seq": 1, "event": "fit_start", "n_observations": 10},
+            {"seq": 2, "event": "span", "trace": "t1", "span": "a",
+             "parent": None, "name": "eadrl.fit", "process": "main",
+             "pid": 1, "start": 0.0, "dur": 1.0},
+            {"seq": 3, "event": "online_step", "step": 0},
+        ]) + "\n")
+        assembler = TraceAssembler().add_file(path)
+        assert assembler.malformed_lines == 0
+        (trace,) = assembler.traces()
+        assert trace.root.name == "eadrl.fit"
 
     def test_cross_process_stitching(self, tmp_path):
         assembler = assemble_trace_dir(self._write_trace(tmp_path))

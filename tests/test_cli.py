@@ -173,6 +173,20 @@ class TestExecution:
         steps = [e for e in events if e["event"] == "online_step"]
         assert all("weights" in e and "seconds" in e for e in steps)
 
+        # The same file assembles into a rooted training trace.
+        capsys.readouterr()
+        assert main(["trace", str(trace_path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["malformed_lines"] == 0
+        (fit,) = [r for r in report["traces"] if r["root"] == "eadrl.fit"]
+        assert fit["orphans"] == 0
+        assert {"pool_fit", "agent_train"} <= set(fit["breakdown_ms"])
+        names = {
+            e["name"] for e in events
+            if e["event"] == "span" and e["trace"] == fit["trace_id"]
+        }
+        assert {"pool.fit", "ddpg.train"} <= names
+
     def test_forecast_checkpoints_and_resumes(self, capsys, tmp_path):
         checkpoint_dir = tmp_path / "ckpt"
         argv = [
