@@ -111,6 +111,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serving/1"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: responses the stdlib writes itself (send_error) take
+    # more than one write and must not wait on the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> ForecastService:
@@ -128,6 +131,7 @@ class _Handler(BaseHTTPRequestHandler):
         can find their timeline with ``repro trace`` either way.
         """
         self._trace_ctx = None
+        self._body_read = False
         if not TRACER.enabled:
             return NOOP_TRACE_SPAN
         span = TRACER.span(
@@ -139,21 +143,48 @@ class _Handler(BaseHTTPRequestHandler):
         self._trace_ctx = span.ctx
         return span
 
+    def _respond(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str,
+        headers: Optional[dict] = None,
+    ) -> None:
+        """Put the status line, headers and body on the socket in one write.
+
+        ``end_headers`` followed by a separate body write leaves a small
+        body segment that Nagle's algorithm holds back until the client
+        ACKs the headers — and the client delays that ACK (~40 ms) on a
+        keep-alive connection because it is still waiting for the body.
+        So the body joins the header buffer and both are flushed at once.
+        A request whose declared body was never read also gets
+        ``Connection: close``: its unread bytes must not be parsed as the
+        next request on the connection.
+        """
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        ctx = getattr(self, "_trace_ctx", None)
+        if ctx is not None:
+            self.send_header(TRACE_ID_HEADER, ctx.trace_id)
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        if self._body_left_unread():
+            # send_header sets close_connection for this header.
+            self.send_header("Connection", "close")
+        # What end_headers does, plus the body, in a single flush.
+        self._headers_buffer.append(b"\r\n")
+        self._headers_buffer.append(body)
+        self.flush_headers()
+
     def _send_json(
         self, status: int, payload: Any, headers: Optional[dict] = None
     ) -> None:
         with TRACER.child_span("http.respond"):
-            body = json.dumps(payload).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            ctx = getattr(self, "_trace_ctx", None)
-            if ctx is not None:
-                self.send_header(TRACE_ID_HEADER, ctx.trace_id)
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
+            self._respond(
+                status, json.dumps(payload).encode("utf-8"),
+                "application/json", headers,
+            )
 
     def _send_error_json(self, error: BaseException) -> None:
         status = _status_for(error)
@@ -216,22 +247,46 @@ class _Handler(BaseHTTPRequestHandler):
                       "(serve with --shards)",
         })
 
-    def _read_json(self) -> Any:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+    def _declared_length(self) -> int:
+        """``Content-Length`` as declared: 0 when absent, -1 if invalid."""
+        declared = self.headers.get("Content-Length", "0").strip()
+        if declared.isascii() and declared.isdigit():
+            return int(declared)
+        return -1
+
+    def _body_left_unread(self) -> bool:
+        """True when the request declared a body this handler never read."""
+        if "Transfer-Encoding" in self.headers:
+            return True  # chunked bodies are never decoded
+        return not self._body_read and self._declared_length() != 0
+
+    def _read_json(self) -> dict:
+        length = self._declared_length()
+        if length < 0:
+            # rfile.read(-1) would block until the peer closes.
+            raise DataValidationError(
+                f"invalid Content-Length {self.headers['Content-Length']!r}"
+            )
         if length > _MAX_BODY_BYTES:
             raise DataValidationError(
                 f"request body too large ({length} bytes)"
             )
         with TRACER.child_span("http.decode"):
             raw = self.rfile.read(length) if length else b""
+            self._body_read = True
             if not raw:
                 raise DataValidationError("request body must be JSON")
             try:
-                return json.loads(raw)
+                body = json.loads(raw)
             except json.JSONDecodeError as err:
                 raise DataValidationError(
                     f"malformed JSON body: {err}"
                 ) from None
+            if not isinstance(body, dict):
+                raise DataValidationError(
+                    "request body must be a JSON object"
+                )
+            return body
 
     def _session_route(self) -> Tuple[Optional[str], Optional[str]]:
         """``/v1/sessions/<id>[/<action>]`` → (id, action)."""
@@ -354,14 +409,10 @@ class _Handler(BaseHTTPRequestHandler):
                         metrics_text() if metrics_text is not None
                         else render_prom_text(OBS.registry)
                     )
-                    body = text.encode("utf-8")
-                    self.send_response(200)
-                    self.send_header(
-                        "Content-Type", "text/plain; version=0.0.4"
+                    self._respond(
+                        200, text.encode("utf-8"),
+                        "text/plain; version=0.0.4",
                     )
-                    self.send_header("Content-Length", str(len(body)))
-                    self.end_headers()
-                    self.wfile.write(body)
                     return
                 if path == "/admin/ring":
                     ring_info = self._admin("ring_info")

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -10,6 +12,7 @@ import pytest
 
 from repro.obs import OBS, MemorySink, TelemetryConfig
 from repro.serving import ForecastHTTPServer, ForecastService, ServiceConfig
+from repro.serving import http as serving_http
 
 
 @pytest.fixture()
@@ -331,3 +334,194 @@ class TestTracing:
         })
         assert status == 201
         assert "X-Trace-Id" not in headers
+
+
+# -- keep-alive ----------------------------------------------------------
+# urllib closes the connection after each request; these tests hold one
+# persistent http.client connection, as a pooled client does. Every socket
+# read has a short timeout so a server that hangs or keeps a connection it
+# should close fails the test at once instead of stalling the suite.
+_SOCKET_TIMEOUT = 2.0
+
+
+class _WriteSpy:
+    """Wraps a handler's socket writer and records each write."""
+
+    def __init__(self, inner, writes):
+        self._inner = inner
+        self._writes = writes
+
+    def write(self, data):
+        self._writes.append(bytes(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+@pytest.fixture()
+def socket_writes(monkeypatch):
+    """Every write a handler hands to its socket, in order."""
+    writes = []
+    original = serving_http._Handler.setup
+
+    def setup(handler):
+        original(handler)
+        handler.wfile = _WriteSpy(handler.wfile, writes)
+
+    monkeypatch.setattr(serving_http._Handler, "setup", setup)
+    return writes
+
+
+@pytest.fixture()
+def conn(server):
+    host, port = server.address
+    connection = http.client.HTTPConnection(
+        host, port, timeout=_SOCKET_TIMEOUT
+    )
+    yield connection
+    connection.close()
+
+
+def _exchange(conn, method, path, body=None):
+    """One request on a persistent connection → (status, raw, response)."""
+    data = json.dumps(body) if body is not None else None
+    headers = {"Content-Type": "application/json"} if data else {}
+    conn.request(method, path, body=data, headers=headers)
+    resp = conn.getresponse()
+    return resp.status, resp.read(), resp
+
+
+def _raw_exchange(server, request: bytes) -> bytes:
+    """Send raw request bytes; read until the server closes the socket."""
+    chunks = []
+    with socket.create_connection(
+        server.address, timeout=_SOCKET_TIMEOUT
+    ) as sock:
+        sock.sendall(request)
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def _post_head(path: str, body_header: str) -> bytes:
+    return (
+        f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+        f"Content-Type: application/json\r\n{body_header}\r\n\r\n"
+    ).encode()
+
+
+def _assert_single_400_then_close(reply: bytes) -> None:
+    head = reply.split(b"\r\n\r\n", 1)[0]
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"\r\nConnection: close" in head
+    assert reply.count(b"HTTP/1.1 ") == 1
+
+
+class TestKeepAlive:
+    def test_full_lifecycle_on_one_connection(self, conn, series):
+        status, raw, resp = _exchange(conn, "POST", "/v1/sessions", {
+            "session": "ka", "history": series[:180].tolist(),
+        })
+        assert status == 201 and json.loads(raw)["step"] == 0
+        sock = conn.sock
+        assert sock is not None and not resp.will_close
+
+        for step, y in enumerate(series[180:183], start=1):
+            status, raw, resp = _exchange(
+                conn, "POST", "/v1/sessions/ka/observe",
+                {"y": float(y), "seq": step},
+            )
+            assert status == 200 and json.loads(raw)["step"] == step
+        status, raw, _ = _exchange(conn, "GET", "/v1/sessions/ka/predict")
+        assert status == 200 and isinstance(json.loads(raw)["forecast"], float)
+        status, raw, _ = _exchange(conn, "GET", "/v1/sessions/ka")
+        assert status == 200 and json.loads(raw)["session"] == "ka"
+        status, raw, _ = _exchange(conn, "DELETE", "/v1/sessions/ka")
+        assert status == 200 and json.loads(raw) == {"closed": "ka"}
+        status, _, resp = _exchange(conn, "GET", "/v1/sessions/ka")
+        assert status == 404 and not resp.will_close
+        # http.client reconnects silently; the same socket proves every
+        # request above rode the one connection.
+        assert conn.sock is sock
+
+    def test_every_response_is_one_socket_write(
+        self, socket_writes, conn, series
+    ):
+        requests = [
+            ("POST", "/v1/sessions",
+             {"session": "one", "history": series[:180].tolist()}, 201),
+            ("POST", "/v1/sessions/one/observe",
+             {"y": float(series[180])}, 200),
+            ("GET", "/v1/sessions/one/predict", None, 200),
+            ("POST", "/v1/sessions/ghost/observe", {"y": 1.0}, 404),
+            ("GET", "/metrics", None, 200),
+        ]
+        for method, path, body, expected in requests:
+            before = len(socket_writes)
+            status, raw, _ = _exchange(conn, method, path, body)
+            assert status == expected
+            written = socket_writes[before:]
+            assert len(written) == 1, (method, path, len(written))
+            assert written[0].startswith(f"HTTP/1.1 {expected} ".encode())
+            assert written[0].endswith(b"\r\n\r\n" + raw)
+
+    def test_handler_sockets_disable_nagle(self, monkeypatch, conn):
+        nodelay = []
+        original = serving_http._Handler.setup
+
+        def setup(handler):
+            original(handler)
+            nodelay.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            ))
+
+        monkeypatch.setattr(serving_http._Handler, "setup", setup)
+        assert _exchange(conn, "GET", "/healthz")[0] == 200
+        assert nodelay and all(nodelay)
+
+    def test_non_object_json_is_400_and_keeps_the_connection(
+        self, conn, series
+    ):
+        status, raw, resp = _exchange(
+            conn, "POST", "/v1/sessions", "sessionhistory"
+        )
+        assert status == 400
+        assert json.loads(raw)["error"] == "DataValidationError"
+        # The body was read, so the connection stays usable.
+        assert not resp.will_close
+        sock = conn.sock
+        status, _, _ = _exchange(conn, "POST", "/v1/sessions", {
+            "session": "after", "history": series[:180].tolist(),
+        })
+        assert status == 201 and conn.sock is sock
+
+    # No body bytes follow the head: a server that keeps the connection
+    # open after refusing the body waits for the next request, and the
+    # read times out.
+    @pytest.mark.parametrize("body_header, detail", [
+        ("Content-Length: -1", b"invalid Content-Length"),
+        ("Content-Length: lots", b"invalid Content-Length"),
+        ("Transfer-Encoding: chunked", b"must be JSON"),
+    ])
+    def test_unreadable_body_is_400_and_closes(
+        self, server, body_header, detail
+    ):
+        reply = _raw_exchange(server, _post_head("/v1/sessions", body_header))
+        _assert_single_400_then_close(reply)
+        assert detail in reply
+
+    def test_oversize_body_is_400_and_closes(self, server, monkeypatch):
+        monkeypatch.setattr(serving_http, "_MAX_BODY_BYTES", 64)
+        reply = _raw_exchange(
+            server, _post_head("/v1/sessions", "Content-Length: 100")
+        )
+        _assert_single_400_then_close(reply)
+        assert b"too large" in reply
+
+    def test_unread_body_on_unknown_route_closes(self, conn):
+        status, _, resp = _exchange(conn, "POST", "/v2/nope", {"y": 1.0})
+        assert status == 404
+        assert resp.getheader("Connection") == "close" and resp.will_close
